@@ -326,13 +326,18 @@ impl Children {
         }
     }
 
-    fn nth_in_order(&self, pos: usize) -> Option<(u8, NodeId)> {
-        match self {
-            Children::N4(n) => n.nth_in_order(pos),
-            Children::N16(n) => n.nth_in_order(pos),
-            Children::N48(n) => n.nth_in_order(pos),
-            Children::N256(n) => n.nth_in_order(pos),
-        }
+    /// The first child at or past `cursor`, with the cursor just past it.
+    /// The cursor is a lane index in the sorted layouts (N4/N16) and a
+    /// partial-key byte in the direct-mapped ones (N48/N256), so a full
+    /// iteration is one linear sweep in every layout.
+    fn next_from(&self, cursor: usize) -> Option<(usize, (u8, NodeId))> {
+        let (next, item) = match self {
+            Children::N4(n) => (cursor + 1, n.nth_in_order(cursor)?),
+            Children::N16(n) => (cursor + 1, n.nth_in_order(cursor)?),
+            Children::N48(n) => n.first_from(cursor).map(|c| (usize::from(c.0) + 1, c))?,
+            Children::N256(n) => n.first_from(cursor).map(|c| (usize::from(c.0) + 1, c))?,
+        };
+        Some((next, item))
     }
 }
 
@@ -349,8 +354,8 @@ impl Iterator for ChildIter<'_> {
     type Item = (u8, NodeId);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let item = self.children.nth_in_order(self.pos)?;
-        self.pos += 1;
+        let (next, item) = self.children.next_from(self.pos)?;
+        self.pos = next;
         Some(item)
     }
 }

@@ -82,9 +82,9 @@ impl Node256 {
         n
     }
 
-    /// Returns the `pos`-th child in ascending byte order.
-    pub(super) fn nth_in_order(&self, pos: usize) -> Option<(u8, NodeId)> {
-        (0..=255u8).filter_map(|b| self.find(b).map(|c| (b, c))).nth(pos)
+    /// Returns the child with the smallest partial key `>= from`.
+    pub(super) fn first_from(&self, from: usize) -> Option<(u8, NodeId)> {
+        (from..256).find_map(|b| self.find(b as u8).map(|c| (b as u8, c)))
     }
 
     /// Returns the child with the largest partial key.

@@ -101,9 +101,9 @@ impl Node48 {
         n
     }
 
-    /// Returns the `pos`-th child in ascending byte order.
-    pub(super) fn nth_in_order(&self, pos: usize) -> Option<(u8, NodeId)> {
-        self.iter_ordered().nth(pos)
+    /// Returns the child with the smallest partial key `>= from`.
+    pub(super) fn first_from(&self, from: usize) -> Option<(u8, NodeId)> {
+        (from..256).find_map(|b| self.find(b as u8).map(|c| (b as u8, c)))
     }
 
     /// Returns the child with the largest partial key.
@@ -157,7 +157,10 @@ mod tests {
         for b in [200u8, 3, 150] {
             n.add(b, NodeId(u32::from(b)));
         }
-        let order: Vec<u8> = (0..3).map(|i| n.nth_in_order(i).unwrap().0).collect();
+        let order: Vec<u8> =
+            std::iter::successors(n.first_from(0), |&(b, _)| n.first_from(usize::from(b) + 1))
+                .map(|(b, _)| b)
+                .collect();
         assert_eq!(order, vec![3, 150, 200]);
         assert_eq!(n.max_child(), Some((200, NodeId(200))));
     }

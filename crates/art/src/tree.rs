@@ -376,22 +376,21 @@ impl<V> Art<V> {
         }
         // Sorted input: the common prefix of the whole range is the common
         // prefix of its extremes.
-        let key_bytes = |slot: &Option<(Key, V)>| slot.as_ref().expect("live slot").0.clone();
+        fn key_bytes<V>(slot: &Option<(Key, V)>) -> &[u8] {
+            slot.as_ref().expect("live slot").0.as_bytes()
+        }
         let first = key_bytes(&slots[lo]);
-        let last = key_bytes(&slots[hi - 1]);
-        let common = common_prefix_len(&first.as_bytes()[depth..], &last.as_bytes()[depth..]);
+        let common = common_prefix_len(&first[depth..], &key_bytes(&slots[hi - 1])[depth..]);
         let split = depth + common;
         if split >= first.len() {
             return Err(ArtError::PrefixViolation);
         }
-        let mut inner = InnerNode::new(first.as_bytes()[depth..split].to_vec());
+        let mut inner = InnerNode::new(first[depth..split].to_vec());
         let mut i = lo;
         while i < hi {
-            let edge = slots[i].as_ref().expect("live slot").0.as_bytes()[split];
+            let edge = key_bytes(&slots[i])[split];
             let mut j = i + 1;
-            while j < hi
-                && slots[j].as_ref().expect("live slot").0.as_bytes().get(split) == Some(&edge)
-            {
+            while j < hi && key_bytes(&slots[j]).get(split) == Some(&edge) {
                 j += 1;
             }
             let child = self.build_sorted(slots, i, j, split + 1)?;
@@ -720,8 +719,12 @@ impl<V> Art<V> {
     }
 
     /// Iterates all `(key, value)` pairs in ascending key order.
-    pub fn iter(&self) -> Range<'_, V> {
-        self.range(&[][..], None)
+    ///
+    /// Unbounded, so it walks node ids alone: no key bytes are accumulated
+    /// along the path (the bounded walker [`Art::range`] needs them to
+    /// prune).
+    pub fn iter(&self) -> Iter<'_, V> {
+        Iter { tree: self, stack: self.root.into_iter().collect(), remaining: self.len }
     }
 
     /// Iterates `(key, value)` pairs with `start <= key < end` in ascending
@@ -908,9 +911,53 @@ struct Frame {
     path: PathBytes,
 }
 
+/// Ordered iterator over every pair of an [`Art`].
+///
+/// Produced by [`Art::iter`].
+pub struct Iter<'a, V> {
+    tree: &'a Art<V>,
+    /// Subtrees still to visit, the next one on top.
+    stack: Vec<NodeId>,
+    remaining: usize,
+}
+
+impl<V> std::fmt::Debug for Iter<'_, V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Iter").field("remaining", &self.remaining).finish_non_exhaustive()
+    }
+}
+
+impl<'a, V> Iterator for Iter<'a, V> {
+    type Item = (&'a Key, &'a V);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while let Some(id) = self.stack.pop() {
+            match self.tree.arena.get(id) {
+                Node::Leaf { key, value } => {
+                    self.remaining -= 1;
+                    return Some((key, value));
+                }
+                Node::Inner(inner) => {
+                    // Push children in reverse so the smallest pops first.
+                    let base = self.stack.len();
+                    self.stack.extend(inner.children.iter().map(|(_, child)| child));
+                    self.stack[base..].reverse();
+                }
+            }
+        }
+        None
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl<V> ExactSizeIterator for Iter<'_, V> {}
+
 /// Ordered iterator over a key range of an [`Art`].
 ///
-/// Produced by [`Art::range`] and [`Art::iter`].
+/// Produced by [`Art::range`] and [`Art::scan_prefix`].
 pub struct Range<'a, V> {
     tree: &'a Art<V>,
     stack: Vec<Frame>,

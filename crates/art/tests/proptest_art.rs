@@ -208,6 +208,61 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
+    /// The path-free `iter` yields exactly the model's pairs, in order, as
+    /// one inner level grows N4 → N256 under a long shared prefix and then
+    /// shrinks under removes down to one key and to none.
+    #[test]
+    fn iter_matches_btreemap_through_growth_and_removal(
+        codes in proptest::collection::btree_set(0u16..1024, 1..400),
+        prefix_len in 0usize..24,
+        removes in proptest::collection::vec(any::<u16>(), 0..300),
+    ) {
+        // A shared run of `prefix_len` bytes, then a byte with up to 256
+        // distinct values (the node that grows), then a 2-bit tail.
+        let key = |code: u16| {
+            let mut bytes = vec![0xA5u8; prefix_len];
+            bytes.extend_from_slice(&[(code >> 2) as u8, (code & 3) as u8]);
+            Key::from_raw(bytes)
+        };
+        let mut art = Art::new();
+        let mut model: BTreeMap<Vec<u8>, u16> = BTreeMap::new();
+        let check = |art: &Art<u16>, model: &BTreeMap<Vec<u8>, u16>| {
+            let iter = art.iter();
+            prop_assert_eq!(iter.len(), model.len());
+            let got: Vec<(Vec<u8>, u16)> = iter.map(|(k, &v)| (k.as_bytes().to_vec(), v)).collect();
+            let want: Vec<(Vec<u8>, u16)> = model.iter().map(|(k, &v)| (k.clone(), v)).collect();
+            prop_assert_eq!(got, want);
+            Ok(())
+        };
+        for &code in &codes {
+            art.insert(key(code), code).unwrap();
+            model.insert(key(code).as_bytes().to_vec(), code);
+        }
+        check(&art, &model)?;
+        let all: Vec<u16> = codes.iter().copied().collect();
+        for r in removes {
+            let code = all[usize::from(r) % all.len()];
+            prop_assert_eq!(art.remove(&key(code)), model.remove(key(code).as_bytes()));
+        }
+        check(&art, &model)?;
+        // Down to one key, then to none.
+        let mut left: Vec<u16> = model.values().copied().collect();
+        if left.is_empty() {
+            art.insert(key(all[0]), all[0]).unwrap();
+            model.insert(key(all[0]).as_bytes().to_vec(), all[0]);
+            left.push(all[0]);
+        }
+        for &code in &left[1..] {
+            art.remove(&key(code));
+            model.remove(key(code).as_bytes());
+        }
+        check(&art, &model)?;
+        art.remove(&key(left[0]));
+        model.remove(key(left[0]).as_bytes());
+        check(&art, &model)?;
+        prop_assert!(art.iter().next().is_none());
+    }
+
     /// min/max equal the model's first/last keys.
     #[test]
     fn min_max_match(keys in proptest::collection::btree_set(any::<u64>(), 1..100)) {

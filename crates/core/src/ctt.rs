@@ -25,6 +25,8 @@
 //! records in the canonical round-robin bucket order and emits the exact
 //! event stream a single-threaded run produces. Shards share nothing, so
 //! stats, digests, and report JSON are byte-identical at any thread count.
+//! The shards also *load* on the pool, each in its serial insertion order,
+//! and the final tree comes from a run merge of the shard subtrees.
 //!
 //! Range scans are the one cross-bucket operation: they are deferred to the
 //! end of their batch and answered by a k-way merge over every shard's
@@ -83,7 +85,9 @@
 use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use dcart_art::{Art, Key, LevelWiseScratch, NodeId, NodeVisit, NoopTracer, RecordingTracer};
+use dcart_art::{
+    Art, ArtError, Key, LevelWiseScratch, NodeId, NodeVisit, NoopTracer, RecordingTracer,
+};
 use dcart_engine::{
     par_for_each_mut, par_for_each_mut_balanced, DegradationController, FaultInjector, FaultPlan,
     FaultSite, PoolStats,
@@ -1147,33 +1151,52 @@ fn resolve_scans(shards: &mut [BucketShard], batch: &[Op], scratch: &mut ScanScr
     }
 }
 
-/// Merges a set of disjoint subtrees into one: a k-way merge by key
-/// (shard key ranges interleave modulo the bucket count) bulk-loaded
-/// through the validating sorted constructor, which also enforces the
-/// *global* prefix-free invariant that per-shard inserts cannot see. Used
-/// both by the end-of-run merge over every leaf shard and by the re-merge
-/// of a cooled bucket's sub-shards.
+/// Merges a set of disjoint subtrees into one: a k-way merge by key,
+/// bulk-loaded through the validating sorted constructor, which also
+/// enforces the *global* prefix-free invariant that per-shard inserts
+/// cannot see. Used by the end-of-run merge over every leaf shard, by
+/// checkpoint snapshots, and by the re-merge of a cooled bucket's
+/// sub-shards.
+///
+/// The merge emits runs: after picking the smallest head it also notes the
+/// runner-up, and drains the winning tree while its head stays below that
+/// bound. Leaf shards partition the key space by the combining prefix, so
+/// the sorted order is a few long runs per shard and the merge costs about
+/// one comparison per key; any key set (sub-shards interleave by the
+/// routing byte, server inserts need not share the skipped prefix bytes)
+/// still merges correctly, with shorter runs. Ties go to the lowest tree
+/// index, as in a plain k-way merge.
 fn merge_art_trees<'a>(trees: impl Iterator<Item = &'a Art<u64>>) -> Result<Art<u64>, DcartError> {
-    let trees: Vec<&Art<u64>> = trees.collect();
-    let total: usize = trees.iter().map(|t| t.len()).sum();
+    let mut iters: Vec<_> = trees.map(Art::iter).collect();
+    let total: usize = iters.iter().map(ExactSizeIterator::len).sum();
     let mut pairs: Vec<(Key, u64)> = Vec::with_capacity(total);
-    let mut iters: Vec<_> = trees.iter().map(|t| t.iter()).collect();
     let mut heads: Vec<Option<(&Key, &u64)>> = iters.iter_mut().map(Iterator::next).collect();
     loop {
         let mut best: Option<(usize, &[u8])> = None;
+        let mut bound: Option<&[u8]> = None;
         for (i, head) in heads.iter().enumerate() {
-            if let Some((k, _)) = head {
-                let kb = k.as_bytes();
-                if best.is_none_or(|(_, bb)| kb < bb) {
+            let Some((k, _)) = *head else { continue };
+            let kb = k.as_bytes();
+            match best {
+                Some((_, bb)) if kb >= bb => {
+                    if bound.is_none_or(|r| kb < r) {
+                        bound = Some(kb);
+                    }
+                }
+                _ => {
+                    bound = best.map(|(_, bb)| bb);
                     best = Some((i, kb));
                 }
             }
         }
         let Some((i, _)) = best else { break };
-        if let Some((k, &v)) = heads[i] {
+        while let Some((k, &v)) = heads[i] {
             pairs.push((k.clone(), v));
+            heads[i] = iters[i].next();
+            if heads[i].is_some_and(|(k, _)| bound.is_some_and(|r| k.as_bytes() >= r)) {
+                break;
+            }
         }
-        heads[i] = iters[i].next();
     }
     Ok(Art::from_sorted(pairs)?)
 }
@@ -1569,7 +1592,11 @@ pub fn try_execute_ctt_profiled<C: CttConsumer>(
     // prefix selects (the same routing the PCU applies to operations), with
     // its *global* load index as the value — identical values to a
     // single-tree `load_indexed`.
-    let shards = load_shards(config, keys.keys.iter().enumerate().map(|(i, k)| (k, i as u64)))?;
+    let shards = load_shards(
+        config,
+        keys.keys.iter().enumerate().map(|(i, k)| (k, i as u64)),
+        opts.threads,
+    )?;
     let knobs = RunKnobs { batch_size, threads: opts.threads, mode: opts.mode, steal: opts.steal };
     run_batches(shards, ops, config, knobs, 0, consumer)
 }
@@ -1603,25 +1630,54 @@ pub fn try_execute_ctt_resumed<C: CttConsumer>(
     if batch_size == 0 {
         return Err(DcartError::InvalidBatchSize);
     }
-    let shards = load_shards(config, pairs.iter().map(|(k, v)| (k, *v)))?;
+    let shards = load_shards(config, pairs.iter().map(|(k, v)| (k, *v)), threads)?;
     let knobs = RunKnobs { batch_size, threads, mode: traverse_mode(), steal: work_stealing() };
     run_batches(shards, ops, config, knobs, initial_digest, consumer)
         .map(|(art, stats, _)| (art, stats))
 }
 
-/// Builds the per-bucket shards and routes every `(key, value)` entry to
+/// Builds the per-bucket shards and loads every `(key, value)` entry into
 /// the shard its combining prefix selects.
+///
+/// One serial pass deals the entries into per-bucket lists in stream
+/// order; the pool then inserts each list into its shard on `threads`
+/// workers. Every shard sees exactly the insertion order of a serial load,
+/// so its arena `NodeId`s — which the accelerator's Tree buffer and
+/// DCART-C's address model consume — do not depend on the thread count.
+/// Neither does the error: a failed insert reports the failure at the
+/// lowest stream index, the one a serial load would hit first.
 fn load_shards<'a>(
     config: &DcartConfig,
     entries: impl Iterator<Item = (&'a Key, u64)>,
+    threads: usize,
 ) -> Result<Vec<BucketShard>, DcartError> {
-    let buckets = config.buckets();
-    let mut shards: Vec<BucketShard> = (0..buckets).map(|b| BucketShard::new(b, config)).collect();
-    for (key, value) in entries {
+    type Slot<'k> = (Vec<(usize, &'k Key, u64)>, Art<u64>, Option<(usize, ArtError)>);
+    let mut slots: Vec<Slot<'a>> =
+        (0..config.buckets()).map(|_| (Vec::new(), Art::new(), None)).collect();
+    for (i, (key, value)) in entries.enumerate() {
         let prefix = key.prefix_bits_at(config.prefix_skip_bytes, config.prefix_bits);
-        shards[config.bucket_of(prefix)].art.insert(key.clone(), value)?;
+        slots[config.bucket_of(prefix)].0.push((i, key, value));
     }
-    Ok(shards)
+    par_for_each_mut(&mut slots, threads, |_, (routed, art, error)| {
+        for &(i, key, value) in routed.iter() {
+            if let Err(e) = art.insert(key.clone(), value) {
+                *error = Some((i, e));
+                break;
+            }
+        }
+    });
+    if let Some((_, e)) = slots.iter().filter_map(|s| s.2).min_by_key(|&(i, _)| i) {
+        return Err(e.into());
+    }
+    Ok(slots
+        .into_iter()
+        .enumerate()
+        .map(|(b, (_, art, _))| {
+            let mut shard = BucketShard::new(b, config);
+            shard.art = art;
+            shard
+        })
+        .collect())
 }
 
 /// The execution knobs fixed for a whole run, bundled so the batch loop's
@@ -1784,7 +1840,7 @@ impl CttSession {
         if batch_size == 0 {
             return Err(DcartError::InvalidBatchSize);
         }
-        let shards = load_shards(config, pairs.iter().map(|(k, v)| (k, *v)))?;
+        let shards = load_shards(config, pairs.iter().map(|(k, v)| (k, *v)), opts.threads)?;
         let knobs =
             RunKnobs { batch_size, threads: opts.threads, mode: opts.mode, steal: opts.steal };
         Ok(Self::from_shards(shards, config, knobs, initial_digest))
@@ -2501,5 +2557,177 @@ mod tests {
             assert_eq!(*digest, base_digest, "event stream identical across threads × stealing");
             assert_eq!(*tree, base_tree, "final tree identical across threads × stealing");
         }
+    }
+
+    /// Every node id in depth-first order, each leaf with its key: two
+    /// trees agree on this exactly when their arenas number the same nodes
+    /// the same way.
+    fn node_layout(art: &Art<u64>) -> Vec<(u32, Option<Key>)> {
+        use dcart_art::node::Node;
+        let mut out = Vec::new();
+        let mut stack: Vec<NodeId> = art.root().into_iter().collect();
+        while let Some(id) = stack.pop() {
+            match art.node(id).expect("live node") {
+                Node::Leaf { key, .. } => out.push((id.index(), Some(key.clone()))),
+                Node::Inner(inner) => {
+                    out.push((id.index(), None));
+                    stack.extend(inner.children.iter().map(|(_, c)| c));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn parallel_load_matches_the_serial_insert_order() {
+        let keys = Workload::Ipgeo.generate(6_000, 11);
+        let cfg = DcartConfig::default().with_auto_prefix_skip(&keys);
+        let entries = || keys.keys.iter().enumerate().map(|(i, k)| (k, i as u64));
+        // The reference: one serial pass of per-key inserts, shard by shard.
+        let mut reference: Vec<Art<u64>> = (0..cfg.buckets()).map(|_| Art::new()).collect();
+        for (key, value) in entries() {
+            let prefix = key.prefix_bits_at(cfg.prefix_skip_bytes, cfg.prefix_bits);
+            reference[cfg.bucket_of(prefix)].insert(key.clone(), value).expect("prefix-free");
+        }
+        let ops = generate_ops(
+            &keys,
+            &OpStreamConfig { count: 4_096, mix: Mix::E, ..Default::default() },
+        );
+        let mut batch_digests = Vec::new();
+        for threads in [1usize, 2, 8] {
+            let shards = load_shards(&cfg, entries(), threads).expect("loads");
+            assert_eq!(shards.len(), reference.len());
+            for (shard, want) in shards.iter().zip(&reference) {
+                assert_eq!(shard.art.node_count(), want.node_count(), "threads={threads}");
+                assert_eq!(tree_digest(&shard.art), tree_digest(want), "threads={threads}");
+                assert_eq!(node_layout(&shard.art), node_layout(want), "threads={threads}");
+            }
+            // The batch after the load sees the same node ids in its visits.
+            let pairs: Vec<(Key, u64)> = entries().map(|(k, v)| (k.clone(), v)).collect();
+            let opts = ExecOpts { threads, mode: TraverseMode::LevelWise, steal: false };
+            let mut session = CttSession::from_pairs(&pairs, &cfg, &opts, 4_096, 0).expect("opens");
+            let mut d = StreamDigest::default();
+            session.execute_batch(&ops, &mut d).expect("batch runs");
+            batch_digests.push(d.h);
+        }
+        assert!(batch_digests[0] != 0, "stream digest actually folded events");
+        assert!(batch_digests.iter().all(|&h| h == batch_digests[0]), "{batch_digests:x?}");
+    }
+
+    #[test]
+    fn load_errors_do_not_depend_on_the_thread_count() {
+        // Prefix violations in several buckets: whichever shard a worker
+        // reaches first, the load reports the same error.
+        let mut pairs: Vec<(Key, u64)> = Vec::new();
+        for b in 0..16u8 {
+            let base = b << 4;
+            pairs.push((Key::from_raw(vec![base, 1, 2, 3]), u64::from(b)));
+            pairs.push((Key::from_raw(vec![base, 7]), 100 + u64::from(b)));
+            pairs.push((Key::from_raw(vec![base, 1, 2]), 200 + u64::from(b)));
+        }
+        let cfg = DcartConfig::default();
+        for threads in [1usize, 2, 8] {
+            let opts = ExecOpts { threads, mode: TraverseMode::LevelWise, steal: false };
+            let err = CttSession::from_pairs(&pairs, &cfg, &opts, 64, 0).err().expect("rejects");
+            assert!(
+                matches!(err, DcartError::Art(ArtError::PrefixViolation)),
+                "threads={threads}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn duplicate_load_keys_keep_the_last_value() {
+        let keys = Workload::Ipgeo.generate(200, 3);
+        let mut pairs: Vec<(Key, u64)> =
+            keys.keys.iter().enumerate().map(|(i, k)| (k.clone(), i as u64)).collect();
+        pairs.push((keys.keys[7].clone(), 9_999));
+        let cfg = DcartConfig::default().with_auto_prefix_skip(&keys);
+        for threads in [1usize, 2] {
+            let opts = ExecOpts { threads, mode: TraverseMode::LevelWise, steal: false };
+            let session = CttSession::from_pairs(&pairs, &cfg, &opts, 64, 0).expect("opens");
+            let tree = session.tree().expect("merges");
+            assert_eq!(tree.len(), 200);
+            assert_eq!(tree.get(&keys.keys[7]), Some(&9_999), "threads={threads}");
+        }
+    }
+
+    /// The merge's oracle: one bulk load of the union in key order.
+    fn oracle(trees: &[Art<u64>]) -> Art<u64> {
+        let model: std::collections::BTreeMap<Key, u64> =
+            trees.iter().flat_map(|t| t.iter().map(|(k, &v)| (k.clone(), v))).collect();
+        Art::from_sorted(model.into_iter().collect()).expect("oracle")
+    }
+
+    fn assert_merges_like_the_oracle(trees: &[Art<u64>], what: &str) {
+        let (merged, want) = (merge_art_trees(trees.iter()).expect("merges"), oracle(trees));
+        let bytes = |t: &Art<u64>| t.snapshot_bytes().expect("serializes");
+        assert_eq!(bytes(&merged), bytes(&want), "{what}");
+        assert_eq!(node_layout(&merged), node_layout(&want), "{what}");
+    }
+
+    #[test]
+    fn run_merge_matches_a_sorted_bulk_load() {
+        let tree_of = |keys: &[u64]| -> Art<u64> {
+            keys.iter().map(|&k| (Key::from_u64(k), k * 3)).collect()
+        };
+        assert_merges_like_the_oracle(&[], "no trees");
+        assert_merges_like_the_oracle(&[Art::new(), Art::new()], "only empty trees");
+        assert_merges_like_the_oracle(
+            &[Art::new(), tree_of(&[5, 1, 9]), Art::new(), tree_of(&[3])],
+            "empty and single-key shards",
+        );
+        // One key per tree, round-robin: every emitted key ends a run.
+        let n = 16u64;
+        let interleaved: Vec<Art<u64>> =
+            (0..n).map(|t| tree_of(&(0..40).map(|i| i * n + t).collect::<Vec<_>>())).collect();
+        assert_merges_like_the_oracle(&interleaved, "one key per shard, interleaved");
+        // Long runs, as the combining-prefix partition produces.
+        let runs: Vec<Art<u64>> = (0..4u64)
+            .map(|t| tree_of(&(0..300).map(|i| (t << 40) | i).collect::<Vec<_>>()))
+            .rev()
+            .collect();
+        assert_merges_like_the_oracle(&runs, "long runs, trees out of key order");
+        // Runs of uneven length that hand over back and forth.
+        let mixed = [tree_of(&[1, 2, 3, 10, 11, 40]), tree_of(&[4, 5, 12, 13, 14, 15, 41])];
+        assert_merges_like_the_oracle(&mixed, "alternating runs");
+    }
+
+    #[test]
+    fn run_merge_rejects_keys_held_by_two_trees() {
+        let a: Art<u64> = [(Key::from_u64(1), 1), (Key::from_u64(2), 2)].into_iter().collect();
+        let b: Art<u64> = [(Key::from_u64(2), 7)].into_iter().collect();
+        let err = merge_art_trees([a, b].iter()).expect_err("duplicate rejected");
+        assert!(matches!(err, DcartError::Art(ArtError::NotSortedUnique)), "{err}");
+    }
+
+    #[test]
+    fn sub_shard_remerges_and_checkpoints_match_the_oracle() {
+        let keys = Workload::Ipgeo.generate(3_000, 5);
+        let ops = generate_ops(
+            &keys,
+            &OpStreamConfig { count: 8_192, mix: Mix::C, ..Default::default() },
+        );
+        let cfg = DcartConfig { split_threshold: Some(0.02), ..DcartConfig::default() }
+            .with_auto_prefix_skip(&keys);
+        let pairs: Vec<(Key, u64)> =
+            keys.keys.iter().enumerate().map(|(i, k)| (k.clone(), i as u64)).collect();
+        let opts = ExecOpts { threads: 2, mode: TraverseMode::LevelWise, steal: false };
+        let mut session = CttSession::from_pairs(&pairs, &cfg, &opts, 1024, 0).expect("opens");
+        // Full batches split the hot buckets; the small ones after let
+        // them cool and re-merge.
+        let (hot, cool) = ops.split_at(4 * 1024);
+        let mut checkpoint = Vec::new();
+        for batch in hot.chunks(1024).chain(cool.chunks(32)) {
+            session.execute_batch(batch, &mut Collector::default()).expect("batch runs");
+            checkpoint = session.tree().expect("snapshot").snapshot_bytes().expect("ser");
+        }
+        let (tree, stats, _) = session.finish().expect("finishes");
+        assert!(stats.shard_splits > 0 && stats.shard_merges > 0, "{stats:?}");
+        let bytes = tree.snapshot_bytes().expect("ser");
+        assert_eq!(bytes, checkpoint, "tree() after the last batch equals finish()");
+        let plain = dcart_baselines::execute_with_traces(&keys, &ops, |_| {});
+        let want = oracle(&[plain]).snapshot_bytes().expect("ser");
+        assert_eq!(bytes, want, "final tree equals the per-op model");
     }
 }

@@ -432,6 +432,23 @@ fn tree_pairs(tree: &Art<u64>) -> Vec<(Key, u64)> {
     tree.iter().map(|(k, &v)| (k.clone(), v)).collect()
 }
 
+/// The tree an executor run over `pairs` with no ops ends with, built
+/// directly: the run's final merge bulk-loads the sorted pairs, so one
+/// sort and [`Art::from_sorted`] give the byte-identical tree without the
+/// shard load. A key repeated in `pairs` keeps its last value, as the
+/// shard inserts do.
+fn seed_tree(mut pairs: Vec<(Key, u64)>) -> Result<Art<u64>, DcartError> {
+    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    pairs.dedup_by(|later, kept| {
+        let repeat = later.0 == kept.0;
+        if repeat {
+            kept.1 = later.1;
+        }
+        repeat
+    });
+    Ok(Art::from_sorted(pairs)?)
+}
+
 // --- recovery ----------------------------------------------------------------
 
 /// Rebuilds the durable state under `dur.dir`: loads the checkpoint (when
@@ -466,9 +483,9 @@ pub fn recover(
 
     let checkpoint = read_checkpoint(&dur.dir)?;
     let used_checkpoint = checkpoint.is_some();
-    let (start_seq, start_digest, pairs) = match checkpoint {
-        Some((seq, digest, tree)) => (seq, digest, tree_pairs(&tree)),
-        None => (0, 0, initial_pairs(keys)),
+    let (start_seq, start_digest, start_tree) = match checkpoint {
+        Some((seq, digest, tree)) => (seq, digest, Some(tree)),
+        None => (0, 0, None),
     };
 
     let wal_path = dur.dir.join(WAL_FILE);
@@ -503,20 +520,27 @@ pub fn recover(
         ops.extend(batch_ops);
     }
 
-    let (tree, stats) = if replay.is_empty() {
-        // Nothing to replay; still run the (empty) executor to get the
-        // canonical merged tree out of the seeded shards.
-        let mut sink = VerifyConsumer { expected: &[], digest: start_digest, mismatch: None };
-        try_execute_ctt_resumed(&pairs, &[], config, 1, threads, start_digest, &mut sink)?
+    let (tree, answer_digest) = if replay.is_empty() {
+        // Nothing to replay: a checkpoint is already the canonical tree
+        // (snapshots load through the bulk loader).
+        let tree = match start_tree {
+            Some(tree) => tree,
+            None => seed_tree(initial_pairs(keys))?,
+        };
+        (tree, start_digest)
     } else {
         let batch_size = scan.batch_size as usize;
         if batch_size == 0 {
             return Err(DcartError::Recovery("WAL header has a zero batch size".into()));
         }
+        let pairs = match &start_tree {
+            Some(tree) => tree_pairs(tree),
+            None => initial_pairs(keys),
+        };
         let expected: Vec<WalBatch> = replay.iter().map(|b| (*b).clone()).collect();
         let mut verify =
             VerifyConsumer { expected: &expected, digest: start_digest, mismatch: None };
-        let result = try_execute_ctt_resumed(
+        let (tree, stats) = try_execute_ctt_resumed(
             &pairs,
             &ops,
             config,
@@ -528,13 +552,13 @@ pub fn recover(
         if let Some(msg) = verify.mismatch {
             return Err(DcartError::Recovery(msg));
         }
-        result
+        (tree, stats.answer_digest)
     };
 
     Ok(RecoveredState {
         tree,
         next_seq: start_seq + replay.len() as u64,
-        answer_digest: stats.answer_digest,
+        answer_digest,
         replayed_batches: replay.len() as u64,
         torn_bytes: scan.torn_bytes,
         used_checkpoint,
@@ -594,9 +618,7 @@ pub fn run_durable(
         (st.tree, st.answer_digest, st.next_seq, st.replayed_batches, st.torn_bytes, writer)
     } else {
         let writer = WalWriter::create(&wal_path, batch_size as u32)?;
-        let pairs = initial_pairs(keys);
-        let mut sink = VerifyConsumer { expected: &[], digest: 0, mismatch: None };
-        let (tree, _) = try_execute_ctt_resumed(&pairs, &[], config, 1, threads, 0, &mut sink)?;
+        let tree = seed_tree(initial_pairs(keys))?;
         (tree, 0u64, 0u64, 0u64, 0u64, writer)
     };
 
@@ -900,6 +922,24 @@ mod tests {
         assert_eq!(st.replayed_batches, 0);
         assert!(!st.used_checkpoint);
         assert_eq!(st.tree.len(), keys.keys.len());
+    }
+
+    #[test]
+    fn seed_tree_is_the_empty_run_tree() {
+        struct Sink;
+        impl CttConsumer for Sink {}
+        let (keys, _) = workload();
+        let config = DcartConfig::default().with_auto_prefix_skip(&keys);
+        let mut pairs = initial_pairs(&keys);
+        // A repeated key keeps its last value, as the shard inserts do.
+        pairs.push((keys.keys[3].clone(), 77));
+        pairs.insert(0, (keys.keys[5].clone(), 88));
+        let (run, _) = try_execute_ctt_resumed(&pairs, &[], &config, 1, 2, 0, &mut Sink).unwrap();
+        let direct = seed_tree(pairs).unwrap();
+        assert_eq!(direct.get(&keys.keys[3]), Some(&77));
+        assert_eq!(direct.get(&keys.keys[5]), Some(&5));
+        assert_eq!(direct.snapshot_bytes().unwrap(), run.snapshot_bytes().unwrap());
+        assert_eq!(direct.node_count(), run.node_count());
     }
 
     #[test]
